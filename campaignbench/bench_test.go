@@ -161,3 +161,14 @@ func TestBenchmarkJSONNamesEveryMetric(t *testing.T) {
 	tr := newTrace()
 	check("per_layer", spec.PerLayer, layerMetrics(cs, []campaign{{out: outcome{iters: 1}, wall: 1, tr: tr, probes: newSpanLog()}}))
 }
+
+// The yardstick must not touch the Go heap, or the program's heap and GC
+// would change what it measures.
+func TestYardstickDoesNotAllocate(t *testing.T) {
+	if _, err := yardstick(); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(3, func() { yardstick() }); n != 0 {
+		t.Errorf("yardstick allocated %v times per call", n)
+	}
+}

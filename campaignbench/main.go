@@ -24,6 +24,7 @@ import (
 	"runtime/metrics"
 	"slices"
 	"strings"
+	"syscall"
 	"time"
 )
 
@@ -109,14 +110,20 @@ type info struct {
 	Samples []sample `json:"campaigns_untraced"`
 }
 
+// sample is one untraced campaign as measured: wall and CPU seconds are
+// not scaled by the yardstick.
 type sample struct {
-	Seed      int64    `json:"seed"`
-	SetupS    float64  `json:"setup_s"`
-	ItersPerS float64  `json:"iters_per_s"`
-	ExecsPerS float64  `json:"execs_per_s"`
-	Kcov      int      `json:"kcov"`
-	Signal    int      `json:"signal"`
-	Bugs      []string `json:"bugs"`
+	Seed      int64      `json:"seed"`
+	SetupS    float64    `json:"setup_s"`
+	SetupCPUS float64    `json:"setup_cpu_s"`
+	WallS     float64    `json:"wall_s"`
+	CPUS      float64    `json:"cpu_s"`
+	YardS     [2]float64 `json:"yardstick_cpu_s"`
+	ItersPerS float64    `json:"iters_per_s"`
+	ExecsPerS float64    `json:"execs_per_s"`
+	Kcov      int        `json:"kcov"`
+	Signal    int        `json:"signal"`
+	Bugs      []string   `json:"bugs"`
 }
 
 // campaign is one set-up-and-run of a workload.
@@ -124,7 +131,12 @@ type campaign struct {
 	seed  int64
 	setup time.Duration
 	wall  time.Duration
-	out   outcome
+	// setupCPU and cpu are the CPU time the process used during set-up and
+	// during the run phase.
+	setupCPU, cpu time.Duration
+	// yard holds the yardstick's CPU times before set-up and after the run.
+	yard [2]time.Duration
+	out  outcome
 	// Allocation and GC figures of the run phase.
 	allocsPerIter, bytesPerIter float64
 	gcFrac, gcPerKiter          float64
@@ -135,8 +147,10 @@ type campaign struct {
 	parseAllocBytes float64
 }
 
-func (c *campaign) itersPerS() float64 { return float64(c.out.iters) / c.wall.Seconds() }
-func (c *campaign) execsPerS() float64 { return float64(c.out.execs) / c.wall.Seconds() }
+func (c *campaign) itersPerS() float64    { return float64(c.out.iters) / c.wall.Seconds() }
+func (c *campaign) execsPerS() float64    { return float64(c.out.execs) / c.wall.Seconds() }
+func (c *campaign) itersPerCPUS() float64 { return float64(c.out.iters) / c.cpu.Seconds() }
+func (c *campaign) execsPerCPUS() float64 { return float64(c.out.execs) / c.cpu.Seconds() }
 
 // runCampaign sets up and runs one campaign. When traced, the executor and
 // stream wrappers record spans, and withProbes also times the layer probes
@@ -145,6 +159,10 @@ func (c *campaign) execsPerS() float64 { return float64(c.out.execs) / c.wall.Se
 func runCampaign(w workload, seed int64, traced, withProbes bool) (c campaign, gate, err error) {
 	c.seed = seed
 	runtime.GC()
+	if c.yard[0], err = yardstick(); err != nil {
+		return c, nil, err
+	}
+	cpuSetup := cpuTime()
 	t0 := time.Now()
 	r, err := w.setup(seed, w.iters, traced)
 	if err != nil {
@@ -152,21 +170,25 @@ func runCampaign(w workload, seed int64, traced, withProbes bool) (c campaign, g
 	}
 	defer r.close()
 	c.setup = time.Since(t0)
+	c.setupCPU = cpuTime() - cpuSetup
 	if traced {
 		c.tr = newTrace()
 	}
 	var m0, m1 runtime.MemStats
 	g0 := readGC()
 	runtime.ReadMemStats(&m0)
+	cpu0 := cpuTime()
 	t1 := time.Now()
 	if err := r.run(c.tr); err != nil {
 		return c, nil, fmt.Errorf("run: %w", err)
 	}
 	c.wall = time.Since(t1)
+	c.cpu = cpuTime() - cpu0
 	runtime.ReadMemStats(&m1)
 	g1 := readGC()
 	c.out, gate = r.result()
 	c.setup += c.out.setupTail
+	c.setupCPU += c.out.setupTailCPU
 	iters := float64(c.out.iters)
 	c.allocsPerIter = float64(m1.Mallocs-m0.Mallocs) / iters
 	c.bytesPerIter = float64(m1.TotalAlloc-m0.TotalAlloc) / iters
@@ -175,6 +197,9 @@ func runCampaign(w workload, seed int64, traced, withProbes bool) (c campaign, g
 	runtime.GC()
 	runtime.ReadMemStats(&m1)
 	c.heapMB = float64(m1.HeapAlloc) / (1 << 20)
+	if c.yard[1], err = yardstick(); err != nil {
+		return c, nil, err
+	}
 	if c.out.execErrors > 0 && gate == nil {
 		gate = fmt.Errorf("%d execution errors", c.out.execErrors)
 	}
@@ -183,6 +208,16 @@ func runCampaign(w workload, seed int64, traced, withProbes bool) (c campaign, g
 		c.parseAllocBytes = runProbes(r.endState(), seed, c.probes)
 	}
 	return c, gate, nil
+}
+
+// cpuTime is the CPU time the process has used, user and system. Time the
+// host takes the machine's CPUs away for is not in it.
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		panic(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 type gcSample struct{ gcCPU, totalCPU, cycles float64 }
@@ -246,7 +281,9 @@ func runWorkload(w workload, seed int64, d time.Duration, traced bool) (result, 
 		check(c, gate, "untraced")
 		untraced = append(untraced, c)
 		inf.Samples = append(inf.Samples, sample{
-			Seed: s, SetupS: c.setup.Seconds(), ItersPerS: c.itersPerS(), ExecsPerS: c.execsPerS(),
+			Seed: s, SetupS: c.setup.Seconds(), SetupCPUS: c.setupCPU.Seconds(), WallS: c.wall.Seconds(), CPUS: c.cpu.Seconds(),
+			YardS:     [2]float64{c.yard[0].Seconds(), c.yard[1].Seconds()},
+			ItersPerS: c.itersPerS(), ExecsPerS: c.execsPerS(),
 			Kcov: c.out.kcov, Signal: c.out.signal, Bugs: c.out.bugs,
 		})
 		if !traced {
@@ -275,6 +312,11 @@ func runWorkload(w workload, seed int64, d time.Duration, traced bool) (result, 
 // the seeds of each seed's median over its campaigns. Bugs are the unique
 // titles the seeds' first campaigns found, as a fleet of that many devices
 // would dedup them.
+//
+// Set-up and throughput are counted in CPU time of the process, so time the
+// host takes the CPUs away for does not count, and scaled to a machine on
+// which the yardstick takes yardRef: speed is yardRef over the median of
+// the run's yardstick times, taken before and after every campaign.
 func endToEndMetrics(cs []campaign) map[string]metric {
 	bySeed := make(map[int64][]*campaign)
 	var seeds []int64
@@ -296,6 +338,11 @@ func endToEndMetrics(cs []campaign) map[string]metric {
 		}
 		return median(perSeed)
 	}
+	var yards []float64
+	for _, c := range cs {
+		yards = append(yards, c.yard[0].Seconds(), c.yard[1].Seconds())
+	}
+	speed := yardRef.Seconds() / median(yards)
 	bugs := make(map[string]bool)
 	for _, s := range seeds {
 		for _, t := range bySeed[s][0].out.bugs {
@@ -303,9 +350,9 @@ func endToEndMetrics(cs []campaign) map[string]metric {
 		}
 	}
 	return map[string]metric{
-		"setup_s":              {agg(func(c *campaign) float64 { return c.setup.Seconds() }), "s"},
-		"iters_per_s":          {agg((*campaign).itersPerS), "1/s"},
-		"execs_per_s":          {agg((*campaign).execsPerS), "1/s"},
+		"setup_s":              {agg(func(c *campaign) float64 { return c.setupCPU.Seconds() }) * speed, "s"},
+		"iters_per_cpu_s":      {agg((*campaign).itersPerCPUS) / speed, "1/s"},
+		"execs_per_cpu_s":      {agg((*campaign).execsPerCPUS) / speed, "1/s"},
 		"kcov":                 {agg(func(c *campaign) float64 { return float64(c.out.kcov) }), "PCs"},
 		"signal":               {agg(func(c *campaign) float64 { return float64(c.out.signal) }), "elems"},
 		"bugs":                 {float64(len(bugs)), "count"},
@@ -422,7 +469,7 @@ func layerMetrics(untraced, traced []campaign) map[string]metric {
 		gcFrac[i], gcCycles[i] = untraced[i].gcFrac, untraced[i].gcPerKiter
 	}
 	for i := range traced {
-		overhead[i] = 1 - ratio(traced[i].itersPerS(), untraced[i].itersPerS())
+		overhead[i] = 1 - ratio(traced[i].itersPerCPUS(), untraced[i].itersPerCPUS())
 	}
 	m["runtime.gc_cpu_frac"] = metric{median(gcFrac), "ratio"}
 	m["runtime.gc_cycles_per_kiter"] = metric{median(gcCycles), "count"}

@@ -107,10 +107,10 @@ type outcome struct {
 	// admitted counts corpus admissions during the run phase.
 	admitted          uint64
 	restores, reboots int
-	// setupTail is set-up work that happened after run started: a
-	// coordinated host attaches its first shard's devices only once it
-	// has leased the shard.
-	setupTail time.Duration
+	// setupTail is set-up work that happened after run started, in wall
+	// and process CPU time: a coordinated host attaches its first shard's
+	// devices only once it has leased the shard.
+	setupTail, setupTailCPU time.Duration
 }
 
 // trace is what one traced campaign recorded.
@@ -396,14 +396,15 @@ func (r *wireRig) close() {
 // coord.Hosts in-process, each host dialing the coordinator over its own
 // net.Pipe.
 type coordRig struct {
-	iters   int
-	c       *coord.Coordinator
-	hosts   []*coord.Host
-	clients []*coord.Client
-	serving sync.WaitGroup
-	fleet   []*hostTrace
-	finish  []time.Duration
-	started time.Time
+	iters      int
+	c          *coord.Coordinator
+	hosts      []*coord.Host
+	clients    []*coord.Client
+	serving    sync.WaitGroup
+	fleet      []*hostTrace
+	finish     []time.Duration
+	started    time.Time
+	startedCPU time.Duration
 }
 
 // hostTrace is one host's tracing state; every field is written only by
@@ -416,8 +417,9 @@ type hostTrace struct {
 	conns   []*countedConn // host ends of the coordinator streams
 	srv     []*countedConn // coordinator ends
 	// firstIter is when the host's first shard device was attached, ready
-	// to iterate.
-	firstIter time.Time
+	// to iterate, and firstIterCPU the process CPU time then.
+	firstIter    time.Time
+	firstIterCPU time.Duration
 }
 
 const (
@@ -491,6 +493,7 @@ func (r *coordRig) attach(ht *hostTrace) func(d *daemon.Daemon, id, model string
 		}
 		if ht.firstIter.IsZero() {
 			ht.firstIter = time.Now()
+			ht.firstIterCPU = cpuTime()
 		}
 		return nil
 	}
@@ -500,6 +503,7 @@ func (r *coordRig) run(tr *trace) error {
 	errs := make([]error, len(r.hosts))
 	var wg sync.WaitGroup
 	r.started = time.Now()
+	r.startedCPU = cpuTime()
 	for i, h := range r.hosts {
 		wg.Add(1)
 		go func() {
@@ -583,6 +587,7 @@ func (r *coordRig) result() (outcome, error) {
 	slices.Sort(o.bugs)
 	for _, ht := range r.fleet {
 		o.setupTail = max(o.setupTail, ht.firstIter.Sub(r.started))
+		o.setupTailCPU = max(o.setupTailCPU, ht.firstIterCPU-r.startedCPU)
 	}
 	st, _ := r.c.Snapshot()
 	f0, f1 := r.hosts[0].Fingerprint(), r.hosts[1].Fingerprint()
