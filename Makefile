@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race sanitize bench bench-json smoke smoke-params smoke-clone smoke-coord check clean
+.PHONY: all build vet test race sanitize bench smoke smoke-params smoke-clone smoke-coord check clean
 
 all: check
 
@@ -31,21 +31,10 @@ sanitize:
 race:
 	$(GO) test -race ./...
 
-# bench prints the recorded benchmarks (PR 1 hot paths vs their legacy
-# references, PR 3 transport protocols) without writing anything.
+# bench runs the campaign benchmark (campaignbench/README.md): every
+# workload for 25 seconds, reporting the end-to-end metrics.
 bench:
-	$(GO) test -bench . -benchmem -run '^$$' ./internal/perf/
-
-# bench-json reruns the benchmarks through cmd/benchperf and refreshes the
-# recorded BENCH_PR*.json reports.
-bench-json:
-	$(GO) run ./cmd/benchperf -pr 1 -o BENCH_PR1.json
-	$(GO) run ./cmd/benchperf -pr 3 -o BENCH_PR3.json
-	$(GO) run ./cmd/benchperf -pr 5 -o BENCH_PR5.json
-	$(GO) run ./cmd/benchperf -pr 6 -o BENCH_PR6.json
-	$(GO) run ./cmd/benchperf -pr 7 -o BENCH_PR7.json
-	$(GO) run ./cmd/benchperf -pr 8 -o BENCH_PR8.json
-	$(GO) run ./cmd/benchperf -pr 10 -o BENCH_PR10.json
+	bash campaignbench/run.sh --workload all --seed 1 --seconds 25 --trace 0
 
 # smoke runs a short droidfleet campaign against droidbrokerd over TCP
 # loopback and asserts clean execution and shutdown.

@@ -91,7 +91,7 @@ func run(deviceID string, iters int, seed int64, variant, corpusDir string, stat
 			n = iters - done
 		}
 		if pipeline > 0 {
-			eng.RunPipelined(n, pipeline)
+			eng.RunPipelinedBatched(n, pipeline, 1)
 		} else {
 			eng.Run(n)
 		}

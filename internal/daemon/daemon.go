@@ -290,10 +290,8 @@ func (d *Daemon) RunOn(ids []string, iters int, parallel bool) error {
 			defer wg.Done()
 			for e := range queue {
 				switch {
-				case depth > 0 && batch > 1:
-					e.RunPipelinedBatched(iters, depth, batch)
 				case depth > 0:
-					e.RunPipelined(iters, depth)
+					e.RunPipelinedBatched(iters, depth, max(batch, 1))
 				default:
 					e.Run(iters)
 				}

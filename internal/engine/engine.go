@@ -6,7 +6,7 @@
 //
 // Two run modes exist. Run is strictly serial and deterministic: one RNG
 // drives selection, generation, and admission, so a fixed seed replays a
-// campaign bit-identically. RunPipelined overlaps generation with
+// campaign bit-identically. RunPipelinedBatched overlaps generation with
 // execution — a producer goroutine keeps a bounded queue of programs
 // generated ahead from its own derived RNG — trading replay determinism for
 // throughput (the deployment-shape tradeoff; see DESIGN.md).
@@ -516,12 +516,16 @@ func (e *Engine) Run(n int) {
 // two streams never repeat each other's draws.
 const pipelineSalt = 0x9e3779b97f4a7c15
 
-// DefaultPipelineDepth is the generation lookahead used when RunPipelined
-// is called with depth <= 0.
+// DefaultPipelineDepth is the generation lookahead used when
+// RunPipelinedBatched is called with depth <= 0.
 const DefaultPipelineDepth = 4
 
-// RunPipelined executes n iterations with generation pipelined ahead of
-// execution: a producer goroutine keeps up to depth programs generated or
+// DefaultBatchSize is the batch used when RunPipelinedBatched is called
+// with batch <= 0.
+const DefaultBatchSize = 16
+
+// RunPipelinedBatched executes n iterations with generation pipelined
+// ahead of execution: a producer goroutine keeps up to depth programs generated or
 // mutated in advance while this goroutine executes, analyzes feedback, and
 // admits. Selection draws come from a producer-private RNG derived from
 // the engine seed, and the producer generates item i against an explicit
@@ -531,26 +535,19 @@ const DefaultPipelineDepth = 4
 // goroutine scheduling, but not bit-identical to a serial one: mutation
 // speculates on a view that admission has advanced depth items past. Use
 // Run when replay determinism matters.
-func (e *Engine) RunPipelined(n, depth int) {
-	e.runPipelined(n, depth, 1)
-}
-
-// DefaultBatchSize is the batch used when RunPipelinedBatched is called
-// with batch <= 0.
-const DefaultBatchSize = 16
-
-// RunPipelinedBatched is RunPipelined with batched execution: pipelined
-// programs are serialized once, packed into batches of up to batch texts,
-// and shipped through the executor's BatchExecutor extension in summary
-// mode — over a remote link that means one windowed wire frame per batch
-// and an interesting-only coverage uplink instead of one full round trip
-// per execution. Feedback, admission, and crash fallout are processed
-// per program in batch order, so the analysis side is identical to the
-// pipelined mode; executors without batch support fall back to it
-// transparently. Like RunPipelined, this mode trades bit-replay for
-// throughput — and a mid-batch crash reboots the device while the rest of
-// the batch still runs, so crash timing is additionally coarsened to batch
-// granularity (see DESIGN.md).
+//
+// With batch > 1, pipelined programs are serialized once, packed into
+// batches of up to batch texts, and shipped through the executor's
+// BatchExecutor extension in summary mode — over a remote link that means
+// one windowed wire frame per batch and an interesting-only coverage
+// uplink instead of one full round trip per execution. Feedback,
+// admission, and crash fallout are processed per program in batch order,
+// so the analysis side is identical to batch 1; executors without batch
+// support fall back to per-program execution transparently. A mid-batch
+// crash reboots the device while the rest of the batch still runs, so
+// crash timing is additionally coarsened to batch granularity (see
+// DESIGN.md). Pass batch 1 for per-program execution; batch <= 0 selects
+// DefaultBatchSize.
 func (e *Engine) RunPipelinedBatched(n, depth, batch int) {
 	if batch <= 0 {
 		batch = DefaultBatchSize

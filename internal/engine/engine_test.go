@@ -165,7 +165,7 @@ func TestEngineHonorsSkipMinimize(t *testing.T) {
 // the serial determinism guarantee (generation runs ahead on its own RNG).
 func TestEnginePipelinedRun(t *testing.T) {
 	e := newEngine(t, "A1", engine.Config{Seed: 31})
-	e.RunPipelined(300, 4)
+	e.RunPipelinedBatched(300, 4, 1)
 	st := e.Stats()
 	if st.Execs < 300 {
 		t.Fatalf("execs = %d, want >= 300", st.Execs)
@@ -241,7 +241,7 @@ func TestEngineBatchedRun(t *testing.T) {
 // programs through the same accumulator).
 func TestEngineBatchedMatchesPipelinedProgress(t *testing.T) {
 	a := newEngine(t, "A2", engine.Config{Seed: 9})
-	a.RunPipelined(400, 4)
+	a.RunPipelinedBatched(400, 4, 1)
 	b := newEngine(t, "A2", engine.Config{Seed: 9})
 	b.RunPipelinedBatched(400, 4, 16)
 	ca, cb := a.Stats().KernelCov, b.Stats().KernelCov
@@ -287,8 +287,8 @@ func TestEnginePipelinedReproducesItself(t *testing.T) {
 	}{{"A1", 4}, {"B", 7}} {
 		a := newEngine(t, tc.model, engine.Config{Seed: 99})
 		b := newEngine(t, tc.model, engine.Config{Seed: 99})
-		a.RunPipelined(400, tc.depth)
-		b.RunPipelined(400, tc.depth)
+		a.RunPipelinedBatched(400, tc.depth, 1)
+		b.RunPipelinedBatched(400, tc.depth, 1)
 		if ha, hb := corpusHash(a), corpusHash(b); ha != hb {
 			t.Fatalf("model %s depth %d: same-seed pipelined replay diverged:\n  run1 %s (%d entries)\n  run2 %s (%d entries)",
 				tc.model, tc.depth, ha, a.Corpus().Len(), hb, b.Corpus().Len())

@@ -260,12 +260,12 @@ func (s *Signal) ContainsAll(want *Signal) bool {
 // halNamespace offsets directional-coverage hashes away from kernel PCs.
 const halNamespace = uint64(1) << 32
 
-// NgramOrders are the n-gram sizes hashed from the specialized-ID sequence;
+// ngramOrders are the n-gram sizes hashed from the specialized-ID sequence;
 // 1-grams capture which specialized calls ran, 2-grams capture pairwise
 // order — the property plain kernel coverage "disregards" (paper §IV-D).
 // Longer windows add little beyond noise: every fresh interleaving mints
 // new hashes, flooding the corpus without improving guidance.
-var NgramOrders = []int{1, 2}
+var ngramOrders = []int{1, 2}
 
 // FromExec builds the joint signal for one execution result: kernel PCs
 // plus directional n-gram hashes of the HAL syscall sequence. A nil table
@@ -278,7 +278,7 @@ func FromExec(res *adb.ExecResult, table *SpecTable) *Signal {
 	}
 	if table != nil {
 		s.seq = table.appendSequence(s.seq[:0], res.HALTrace)
-		for _, n := range NgramOrders {
+		for _, n := range ngramOrders {
 			s.addNgrams(s.seq, n)
 		}
 	}
@@ -414,7 +414,7 @@ func (a *Accumulator) observeExec(pcs []uint32, seq []uint32) bool {
 	}
 	a.san.observeKernelPCs(pcs)
 	a.mu.Lock()
-	for _, n := range NgramOrders {
+	for _, n := range ngramOrders {
 		for i := 0; i+n <= len(seq); i++ {
 			e := ngramElem(seq, i, n)
 			if _, ok := a.dir[e]; !ok {
