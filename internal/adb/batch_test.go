@@ -230,16 +230,18 @@ func TestResilientBatchTailRetry(t *testing.T) {
 					}
 					rep := srv.handle(req, st)
 					rep.Tag = req.Tag
+					// Count the frame before its reply goes out: once the
+					// client holds the last reply it may read served at once.
+					if req.Batch != nil {
+						served.Add(1)
+					}
 					err = enc.Encode(&rep)
 					rep.Result.Release()
 					if err != nil {
 						return
 					}
-					if req.Batch != nil {
-						served.Add(1)
-						if kill.Swap(false) {
-							return // sever the stream mid-batch
-						}
+					if req.Batch != nil && kill.Swap(false) {
+						return // sever the stream mid-batch
 					}
 				}
 			}()

@@ -1,7 +1,6 @@
 package dsl
 
 import (
-	"bufio"
 	"fmt"
 	"sort"
 	"strconv"
@@ -111,23 +110,19 @@ func joinQuoted(ss []string) string {
 // ParseDescs parses a description file back into call descriptions.
 func ParseDescs(text string) ([]*CallDesc, error) {
 	var out []*CallDesc
-	sc := bufio.NewScanner(strings.NewReader(text))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
+	err := eachLine(text, func(lineNo int, line string) error {
 		d, err := parseDescLine(line)
 		if err != nil {
-			return nil, fmt.Errorf("dsl: descs line %d: %w", lineNo, err)
+			return fmt.Errorf("dsl: descs line %d: %w", lineNo, err)
 		}
 		out = append(out, d)
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err == errLineTooLong {
 		return nil, fmt.Errorf("dsl: descs scan: %w", err)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -234,10 +229,12 @@ func matchParen(s string, open int) int {
 	inQuote := false
 	for i := open; i < len(s); i++ {
 		switch s[i] {
-		case '"':
-			if i == 0 || s[i-1] != '\\' {
-				inQuote = !inQuote
+		case '\\':
+			if inQuote {
+				i++ // an escaped byte cannot end the quote
 			}
+		case '"':
+			inQuote = !inQuote
 		case '(':
 			if !inQuote {
 				depth++
@@ -262,10 +259,12 @@ func splitTopLevel(s string) []string {
 	start := 0
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
-		case '"':
-			if i == 0 || s[i-1] != '\\' {
-				inQuote = !inQuote
+		case '\\':
+			if inQuote {
+				i++ // an escaped byte cannot end the quote
 			}
+		case '"':
+			inQuote = !inQuote
 		case '[', '(':
 			if !inQuote {
 				depth++

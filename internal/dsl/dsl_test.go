@@ -2,13 +2,14 @@ package dsl
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
 )
 
 // testTarget builds a small target exercising every type kind.
-func testTarget(t *testing.T) *Target {
+func testTarget(t testing.TB) *Target {
 	t.Helper()
 	descs := []*CallDesc{
 		{
@@ -108,7 +109,7 @@ func TestDescValidate(t *testing.T) {
 }
 
 // buildProg constructs a valid program exercising resource flow.
-func buildProg(t *testing.T, target *Target) *Prog {
+func buildProg(t testing.TB, target *Target) *Prog {
 	t.Helper()
 	open := target.Lookup("open$dev")
 	ioctl := target.Lookup("ioctl$DEV_CMD")
@@ -165,6 +166,40 @@ func TestSerializeParseRoundTrip(t *testing.T) {
 	}
 	if q.String() != text {
 		t.Fatalf("round trip mismatch:\n%s\nvs\n%s", text, q.String())
+	}
+}
+
+// TestParseProgAllocBytes bounds what one decode allocates, in bytes, so
+// the guard does not depend on the machine. Decoding buildProg's text
+// takes about 1 KiB; a per-call line buffer (the old 1 MiB scanner) would
+// push it far past the bound.
+func TestParseProgAllocBytes(t *testing.T) {
+	target := testTarget(t)
+	text := buildProg(t, target).String()
+	const n = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		if _, err := ParseProg(target, text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / n
+	t.Logf("ParseProg: %d B per call", per)
+	if per >= 8<<10 {
+		t.Fatalf("ParseProg allocated %d B per call, want < 8 KiB", per)
+	}
+}
+
+var stringSink string
+
+// TestProgStringAllocs pins the formatter at one allocation: the builder,
+// sized once up front.
+func TestProgStringAllocs(t *testing.T) {
+	p := buildProg(t, testTarget(t))
+	if n := testing.AllocsPerRun(100, func() { stringSink = p.String() }); n != 1 {
+		t.Fatalf("Prog.String made %v allocations, want 1", n)
 	}
 }
 

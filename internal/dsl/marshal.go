@@ -1,7 +1,6 @@
 package dsl
 
 import (
-	"bufio"
 	"encoding/hex"
 	"fmt"
 	"strconv"
@@ -19,12 +18,16 @@ import (
 // description produces a resource is prefixed with "rI = " where I is its
 // own call index, so labels are stable across serialize/parse round trips.
 
-// String serializes the program to its canonical text form.
+// String serializes the program to its canonical text form. The builder
+// is sized once from textLen, so a program costs one allocation unless a
+// quoted string expands past its estimate.
 func (p *Prog) String() string {
 	var b strings.Builder
+	b.Grow(p.textLen())
 	for i, c := range p.Calls {
 		if c.Desc.Ret != "" {
-			fmt.Fprintf(&b, "r%d = ", i)
+			writeRef(&b, i)
+			b.WriteString(" = ")
 		}
 		b.WriteString(c.Desc.Name)
 		b.WriteByte('(')
@@ -41,46 +44,138 @@ func (p *Prog) String() string {
 	return b.String()
 }
 
+// textLen bounds the length of String's output from above, except where
+// strconv.Quote escapes a string argument.
+func (p *Prog) textLen() int {
+	n := 0
+	for i, c := range p.Calls {
+		n += len(c.Desc.Name) + len("()\n")
+		if c.Desc.Ret != "" {
+			n += len("r = ") + decimalLen(i)
+		}
+		for j, f := range c.Desc.Args {
+			n += len(", =") + len(f.Name)
+			a := c.Args[j]
+			switch f.Type.Kind {
+			case KindBuffer:
+				n += len(`b""`) + hex.EncodedLen(len(a.Data))
+			case KindString, KindFilename:
+				n += len(`""`) + len(a.Str)
+			case KindResource:
+				n += len("r") + decimalLen(a.Ref)
+			default:
+				n += len("0xffffffffffffffff")
+			}
+		}
+	}
+	return n
+}
+
+// decimalLen is the number of digits in a non-negative v, and 3 (the
+// length of "nil") otherwise.
+func decimalLen(v int) int {
+	if v < 0 {
+		return len("nil")
+	}
+	n := 1
+	for ; v >= 10; v /= 10 {
+		n++
+	}
+	return n
+}
+
 func writeArg(b *strings.Builder, t Type, a Arg) {
+	var scratch [64]byte
 	switch t.Kind {
 	case KindBuffer:
 		b.WriteString(`b"`)
-		b.WriteString(hex.EncodeToString(a.Data))
+		for data := a.Data; len(data) > 0; {
+			n := min(len(data), len(scratch)/2)
+			b.Write(scratch[:hex.Encode(scratch[:], data[:n])])
+			data = data[n:]
+		}
 		b.WriteByte('"')
 	case KindString, KindFilename:
-		b.WriteString(strconv.Quote(a.Str))
+		b.Write(strconv.AppendQuote(scratch[:0], a.Str))
 	case KindResource:
 		if a.Ref < 0 {
 			b.WriteString("nil")
 		} else {
-			fmt.Fprintf(b, "r%d", a.Ref)
+			writeRef(b, a.Ref)
 		}
 	default:
-		fmt.Fprintf(b, "%#x", a.Val)
+		b.WriteString("0x")
+		b.Write(strconv.AppendUint(scratch[:0], a.Val, 16))
 	}
+}
+
+// writeRef writes rN, a result label or a reference to call N.
+func writeRef(b *strings.Builder, n int) {
+	var digits [20]byte
+	b.WriteByte('r')
+	b.Write(strconv.AppendInt(digits[:0], int64(n), 10))
+}
+
+// maxLine bounds one line of text, newline excluded: the decoders' only
+// bound on hostile input. A line and its newline fit in 1 MiB, the cap
+// bufio.Scanner enforced with a 1 MiB buffer.
+const maxLine = 1<<20 - 1
+
+// errLineTooLong rejects a line longer than maxLine. It reads and matches
+// (under errors.Is) as bufio.ErrTooLong, the error the scanner returned,
+// so callers that test for that sentinel keep working.
+var errLineTooLong error = lineTooLongError{}
+
+type lineTooLongError struct{}
+
+const lineTooLongText = "bufio.Scanner: token too long"
+
+func (lineTooLongError) Error() string { return lineTooLongText }
+
+func (lineTooLongError) Is(target error) bool {
+	return target != nil && target.Error() == lineTooLongText
+}
+
+// eachLine calls fn with the 1-based number and the space-trimmed text of
+// every line of text that is neither blank nor a '#' comment; a final line
+// needs no newline, and TrimSpace drops a CRLF's '\r'. It stops at fn's
+// first error and returns it, or errLineTooLong at the first line longer
+// than maxLine. Lines are substrings of text: nothing is copied.
+func eachLine(text string, fn func(lineNo int, line string) error) error {
+	for lineNo := 1; text != ""; lineNo++ {
+		var line string
+		line, text, _ = strings.Cut(text, "\n")
+		if len(line) > maxLine {
+			return errLineTooLong
+		}
+		line = strings.TrimSpace(line)
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		if err := fn(lineNo, line); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ParseProg parses the canonical text form against the target. Unknown call
 // names, malformed arguments, and invalid resource references are errors.
 func ParseProg(target *Target, text string) (*Prog, error) {
 	p := &Prog{}
-	sc := bufio.NewScanner(strings.NewReader(text))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
+	err := eachLine(text, func(lineNo int, line string) error {
 		c, err := parseCall(target, line, len(p.Calls))
 		if err != nil {
-			return nil, fmt.Errorf("dsl: line %d: %w", lineNo, err)
+			return fmt.Errorf("dsl: line %d: %w", lineNo, err)
 		}
 		p.Calls = append(p.Calls, c)
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err == errLineTooLong {
 		return nil, fmt.Errorf("dsl: scan: %w", err)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -151,11 +246,14 @@ func splitArgs(s string) ([]string, error) {
 	inQuote := false
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
-		case '"':
-			// A quote is escaped only if preceded by a backslash.
-			if i == 0 || s[i-1] != '\\' {
-				inQuote = !inQuote
+		case '\\':
+			// Inside quotes a backslash escapes the next byte, so `\\"`
+			// ends the quote while `\"` does not.
+			if inQuote {
+				i++
 			}
+		case '"':
+			inQuote = !inQuote
 		case ',':
 			if !inQuote {
 				parts = append(parts, strings.TrimSpace(s[start:i]))

@@ -12,7 +12,7 @@ import (
 
 // randProg builds a random valid program over the test target: opens,
 // ioctls referencing earlier opens, writes.
-func randProg(t *testing.T, target *Target, rng *rand.Rand) *Prog {
+func randProg(t testing.TB, target *Target, rng *rand.Rand) *Prog {
 	t.Helper()
 	p := &Prog{}
 	nOpens := 1 + rng.Intn(3)
