@@ -11,9 +11,9 @@ import (
 )
 
 // TestRepliesMatchedByTagOutOfOrder drives the multiplexed core against a
-// hand-rolled server that answers two in-flight requests in reverse order:
-// each caller must still receive its own result, matched by sequence tag
-// rather than reply order.
+// hand-rolled server that answers two in-flight exec frames in reverse
+// order: each caller must still receive its own result, matched by
+// sequence tag rather than reply order.
 func TestRepliesMatchedByTagOutOfOrder(t *testing.T) {
 	host, dev := net.Pipe()
 	conn := Dial(host)
@@ -38,15 +38,15 @@ func TestRepliesMatchedByTagOutOfOrder(t *testing.T) {
 		for i := len(reqs) - 1; i >= 0; i-- {
 			req := reqs[i]
 			var ret uint64
-			switch req.Exec.ProgText {
+			switch req.Batch.Progs[0] {
 			case "prog-one":
 				ret = 111
 			case "prog-two":
 				ret = 222
 			}
-			rep := rpcReply{Tag: req.Tag, Result: &ExecResult{
+			rep := rpcReply{Tag: req.Tag, Batch: &ExecBatchReply{Results: []WireResult{{
 				Calls: []CallResult{{Executed: true, Errno: "OK", Ret: ret}},
-			}}
+			}}}}
 			if err := enc.Encode(&rep); err != nil {
 				t.Errorf("server encode: %v", err)
 				return
@@ -143,7 +143,8 @@ func TestExecBatchSummaryElidesRepeats(t *testing.T) {
 	}
 
 	// Without summary mode the same repeats ship in full: elision must not
-	// grow even though the filter still observes every execution.
+	// grow even though the filter still observes every execution, and the
+	// frame does not count toward the summary-mode accounting.
 	results, err = conn.ExecBatch(ExecBatchRequest{Progs: progs[:2], Summary: false})
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +154,7 @@ func TestExecBatchSummaryElidesRepeats(t *testing.T) {
 			t.Fatalf("non-summary result %d missing traces", i)
 		}
 	}
-	if w := conn.WireStats(); w.Elided != 3 || w.Execs != 6 {
+	if w := conn.WireStats(); w.Elided != 3 || w.Execs != 4 {
 		t.Fatalf("non-summary batch changed elision accounting: %+v", w)
 	}
 }
@@ -165,7 +166,7 @@ func TestExecBatchFramingAndRejects(t *testing.T) {
 	b, _ := newBrokerRig(t, "A1")
 	conn := pipeServer(t, &Server{X: b})
 	conn.SetCallTimeout(5 * time.Second)
-	conn.SetBatchFrame(2) // 5 programs -> 3 frames through the window
+	conn.frame = 2 // 5 programs -> 3 frames through the window
 
 	short := `r0 = open$tcpc(path="/dev/tcpc0")
 close$tcpc(fd=r0)
@@ -224,20 +225,18 @@ func TestResilientBatchTailRetry(t *testing.T) {
 				dec := gob.NewDecoder(c)
 				st := &connState{}
 				for {
-					req, err := decodeRequest(dec)
-					if err != nil {
+					var req rpcRequest
+					if dec.Decode(&req) != nil {
 						return
 					}
-					rep := srv.handle(req, st)
+					rep := srv.handle(&req, st)
 					rep.Tag = req.Tag
 					// Count the frame before its reply goes out: once the
 					// client holds the last reply it may read served at once.
 					if req.Batch != nil {
 						served.Add(1)
 					}
-					err = enc.Encode(&rep)
-					rep.Result.Release()
-					if err != nil {
+					if enc.Encode(&rep) != nil {
 						return
 					}
 					if req.Batch != nil && kill.Swap(false) {
@@ -248,24 +247,19 @@ func TestResilientBatchTailRetry(t *testing.T) {
 		}
 	}()
 
-	r, err := DialResilient(ln.Addr().String(), ResilientOptions{
-		DialTimeout: time.Second,
-		CallTimeout: 2 * time.Second,
-		MaxAttempts: 2,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  5 * time.Millisecond,
-		// Window 1 makes the cut deterministic: frame 1 is acknowledged
-		// before frame 2 ever enters the send queue.
-		Window:     1,
-		BatchFrame: 2,
-	})
+	// Window 1 makes the cut deterministic: frame 1 is acknowledged before
+	// frame 2 ever enters the send queue.
+	r, err := DialResilient(ln.Addr().String(), ResilientOptions{Window: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	r.frame = 2 // for the redialed connection
+	r.conn.frame = 2
 
+	// Summary mode, so every execution counts toward WireStats.
 	progs := []string{benignProg, benignProg, benignProg, benignProg, benignProg}
-	results, err := r.ExecBatch(ExecBatchRequest{Progs: progs})
+	results, err := r.ExecBatch(ExecBatchRequest{Progs: progs, Summary: true})
 	if err != nil {
 		t.Fatalf("batch did not survive the reconnect: %v", err)
 	}

@@ -3,51 +3,23 @@ package adb
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
 	"droidfuzz/internal/dsl"
 )
 
-// ResilientOptions tune the reconnecting remote executor.
+// ResilientOptions tune the reconnecting remote executor. Dial and call
+// timeouts and the redial backoff are fixed link constants (link.go).
 type ResilientOptions struct {
-	// DialTimeout bounds one connection attempt (default 2s).
-	DialTimeout time.Duration
-	// CallTimeout bounds one RPC round trip (default 10s).
-	CallTimeout time.Duration
-	// MaxAttempts is how many reconnect-and-retry cycles one operation
-	// performs before giving up (default 2).
-	MaxAttempts int
-	// BackoffBase is the first reconnect delay; it doubles per consecutive
-	// failure up to BackoffMax (defaults 50ms and 2s).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// Window bounds in-flight requests per connection (default
 	// adb.DefaultWindow).
 	Window int
-	// BatchFrame bounds programs per batched wire frame (default
-	// adb.DefaultBatchFrame).
-	BatchFrame int
 }
 
-func (o *ResilientOptions) defaults() {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 2 * time.Second
-	}
-	if o.CallTimeout <= 0 {
-		o.CallTimeout = 10 * time.Second
-	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 2
-	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = 50 * time.Millisecond
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = 2 * time.Second
-	}
-}
+// resilientAttempts is how many reconnect-and-retry cycles one operation
+// performs before giving up.
+const resilientAttempts = 2
 
 // Resilient is a reconnecting remote Executor over the ADB-stand-in
 // transport. Transport failures trigger a bounded redial-with-backoff and
@@ -61,25 +33,24 @@ func (o *ResilientOptions) defaults() {
 // Resilient paces retries with the wall clock, so remote campaigns are not
 // bit-replayable under injected faults; see DESIGN.md.
 type Resilient struct {
-	addr string
-	opts ResilientOptions
+	addr   string
+	window int
+	frame  int // programs per batch frame on every dialed Conn; tests shrink it
 
-	mu         sync.Mutex
-	conn       *Conn
-	target     *dsl.Target
-	info       Info
-	seeds      []string
-	fatal      error
-	downUntil  time.Time
-	failStreak int
+	mu        sync.Mutex
+	conn      *Conn
+	target    *dsl.Target
+	info      Info
+	seeds     []string
+	fatal     error
+	downUntil time.Time
+	backoff   Backoff
 	// wire accumulates the uplink accounting of connections already
 	// retired; the live connection's share is added on read.
 	wire WireStats
-	// now and rng are the backoff clock and jitter source; nil means wall
-	// clock and a wall-clock-seeded generator. Tests inject deterministic
-	// ones to exercise the cooldown envelope without sleeping.
+	// now is the cooldown clock. Tests inject a fake one (and a seeded
+	// backoff source) to exercise the cooldown envelope without sleeping.
 	now func() time.Time
-	rng *rand.Rand
 }
 
 var (
@@ -92,8 +63,10 @@ var (
 // attach handshake, returning a reconnecting Executor bound to the
 // device's call-description target.
 func DialResilient(addr string, opts ResilientOptions) (*Resilient, error) {
-	opts.defaults()
-	r := &Resilient{addr: addr, opts: opts}
+	r := &Resilient{
+		addr: addr, window: opts.Window, frame: batchFrame,
+		now: time.Now, //droidvet:nondet wall-clock backoff clock
+	}
 	conn, err := r.dial()
 	if err != nil {
 		return nil, err
@@ -112,13 +85,13 @@ func DialResilient(addr string, opts ResilientOptions) (*Resilient, error) {
 
 // dial opens and configures one connection (no handshake).
 func (r *Resilient) dial() (*Conn, error) {
-	conn, err := DialTCPTimeout(r.addr, r.opts.DialTimeout)
+	conn, err := DialTCP(r.addr)
 	if err != nil {
 		return nil, err
 	}
-	conn.SetCallTimeout(r.opts.CallTimeout)
-	conn.SetWindow(r.opts.Window)
-	conn.SetBatchFrame(r.opts.BatchFrame)
+	conn.SetCallTimeout(CallTimeout)
+	conn.SetWindow(r.window)
+	conn.frame = r.frame
 	return conn, nil
 }
 
@@ -153,7 +126,7 @@ func (r *Resilient) Close() error {
 }
 
 // WireStats returns the uplink accounting accumulated across every
-// connection this client has used (batched executions only).
+// connection this client has used (summary-mode batches only).
 func (r *Resilient) WireStats() WireStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -178,7 +151,7 @@ func (r *Resilient) get() (*Conn, error) {
 	// Reconnect backoff is wall-clock by nature: it gates transport
 	// redials, never a fuzzing decision, and replay runs in-process
 	// without a Resilient client at all.
-	if now := r.clockLocked()(); now.Before(r.downUntil) {
+	if now := r.now(); now.Before(r.downUntil) {
 		return nil, fmt.Errorf("%w: %s down, retry in %v",
 			ErrTransport, r.addr, r.downUntil.Sub(now).Round(time.Millisecond))
 	}
@@ -201,58 +174,15 @@ func (r *Resilient) get() (*Conn, error) {
 	}
 	r.conn = conn
 	r.info = rep.Info
-	r.failStreak = 0
+	r.backoff.Reset()
 	r.downUntil = time.Time{}
 	return conn, nil
 }
 
-// noteFailureLocked arms the reconnect cooldown: an exponential envelope
-// with full jitter. The envelope bounds how hard a dead broker is hammered;
-// the jitter spreads N clients that lost the same broker at the same moment
-// (a coordinator or broker restart) across the whole window instead of
-// letting them thunder back in lockstep on identical schedules.
+// noteFailureLocked arms the reconnect cooldown with the shared backoff
+// delay: operations fail fast until it expires.
 func (r *Resilient) noteFailureLocked() {
-	d := BackoffJitter(r.jitterLocked(), r.opts.BackoffBase, r.opts.BackoffMax, r.failStreak)
-	if r.failStreak < 30 {
-		r.failStreak++
-	}
-	r.downUntil = r.clockLocked()().Add(d)
-}
-
-// clockLocked returns the backoff clock, defaulting to the wall clock on
-// first use (the backoff gates transport redials, never a fuzzing
-// decision; see the get() comment).
-func (r *Resilient) clockLocked() func() time.Time {
-	if r.now == nil {
-		r.now = time.Now //droidvet:nondet wall-clock backoff clock
-	}
-	return r.now
-}
-
-// jitterLocked returns the jitter source, seeding one from the wall clock
-// on first use so every client draws an independent schedule.
-func (r *Resilient) jitterLocked() *rand.Rand {
-	if r.rng == nil {
-		r.rng = rand.New(rand.NewSource(time.Now().UnixNano())) //droidvet:nondet per-client jitter seed
-	}
-	return r.rng
-}
-
-// BackoffJitter computes one full-jitter reconnect delay: uniform in
-// [0, min(base<<streak, max)]. Full jitter (over the equal-jitter
-// base/2+rand variant) gives the fastest desynchronization of a herd while
-// keeping the same exponential cap, and a zero draw is harmless — the next
-// failure re-arms with a doubled envelope. Shared by Resilient and the
-// coordinator client, which follows the same reconnect discipline.
-func BackoffJitter(rng *rand.Rand, base, max time.Duration, streak int) time.Duration {
-	d := base << streak
-	if d > max || d <= 0 {
-		d = max
-	}
-	if rng == nil || d <= 0 {
-		return d
-	}
-	return time.Duration(rng.Int63n(int64(d) + 1))
+	r.downUntil = r.now().Add(r.backoff.Fail())
 }
 
 // drop discards a connection after a transport failure (unless a newer
@@ -269,12 +199,12 @@ func (r *Resilient) drop(c *Conn) {
 }
 
 // do runs op against a live connection, redialing and retrying on
-// transport failures up to MaxAttempts times. Application-level errors
+// transport failures up to resilientAttempts times. Application-level errors
 // (*RemoteError) return immediately: the stream is healthy and the remote
 // broker rejected the request itself.
 func (r *Resilient) do(op func(c *Conn) error) error {
 	var err error
-	for attempt := 0; attempt <= r.opts.MaxAttempts; attempt++ {
+	for attempt := 0; attempt <= resilientAttempts; attempt++ {
 		var c *Conn
 		if c, err = r.get(); err != nil {
 			if !errors.Is(err, ErrTransport) {
@@ -309,32 +239,18 @@ func (r *Resilient) ExecProg(p *dsl.Prog) (*ExecResult, error) {
 
 // ExecBatch implements BatchExecutor with tail retry: the programs are
 // serialized once by the caller, and after a mid-batch transport failure
-// only the unacknowledged tail of the window is resubmitted on the fresh
-// connection — acknowledged results are never re-executed. The returned
-// slice aligns index-for-index with req.Progs up to where execution got;
-// nil entries mark broker-rejected programs. Non-nil results are pooled
-// and owned by the caller (Release each when done).
+// only the unacknowledged tail is resubmitted on the fresh connection —
+// acknowledged results are never re-executed. The returned slice aligns
+// index-for-index with req.Progs up to where execution got; nil entries
+// mark broker-rejected programs. Non-nil results are pooled and owned by
+// the caller (Release each when done).
 func (r *Resilient) ExecBatch(req ExecBatchRequest) ([]*ExecResult, error) {
 	out := make([]*ExecResult, 0, len(req.Progs))
-	remaining := req.Progs
-	var err error
-	for attempt := 0; attempt <= r.opts.MaxAttempts && len(remaining) > 0; attempt++ {
-		var c *Conn
-		if c, err = r.get(); err != nil {
-			if !errors.Is(err, ErrTransport) {
-				return out, err // fatal (target changed) or handshake rejection
-			}
-			continue
-		}
-		var res []*ExecResult
-		res, err = c.ExecBatch(ExecBatchRequest{Progs: remaining, Summary: req.Summary})
+	err := r.do(func(c *Conn) error {
+		res, err := c.ExecBatch(ExecBatchRequest{Progs: req.Progs[len(out):], Summary: req.Summary})
 		out = append(out, res...)
-		remaining = remaining[len(res):]
-		if err == nil || !errors.Is(err, ErrTransport) {
-			return out, err
-		}
-		r.drop(c)
-	}
+		return err
+	})
 	return out, err
 }
 

@@ -50,22 +50,12 @@ func (h *brokerHarness) restart() {
 	h.t.Fatalf("restart on %s: %v", h.addr, err)
 }
 
-func fastOpts() ResilientOptions {
-	return ResilientOptions{
-		DialTimeout: time.Second,
-		CallTimeout: 2 * time.Second,
-		MaxAttempts: 2,
-		BackoffBase: 5 * time.Millisecond,
-		BackoffMax:  50 * time.Millisecond,
-	}
-}
-
 // TestResilientReconnectsAcrossBrokerRestart: a dropped connection is
 // redialed, the handshake re-verified, and the in-flight operation retried
 // — the fleet wiring survives a broker bounce.
 func TestResilientReconnectsAcrossBrokerRestart(t *testing.T) {
 	h := startBrokerTCP(t, "B")
-	r, err := DialResilient(h.addr, fastOpts())
+	r, err := DialResilient(h.addr, ResilientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +89,7 @@ func TestResilientReconnectsAcrossBrokerRestart(t *testing.T) {
 // wall-clock stalls.
 func TestResilientDegradesFastWhenBrokerDies(t *testing.T) {
 	h := startBrokerTCP(t, "B")
-	r, err := DialResilient(h.addr, fastOpts())
+	r, err := DialResilient(h.addr, ResilientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +127,7 @@ func TestResilientHandshakeDeliversSeeds(t *testing.T) {
 	defer ln.Close()
 	go srv.ServeTCP(ln)
 
-	r, err := DialResilient(ln.Addr().String(), fastOpts())
+	r, err := DialResilient(ln.Addr().String(), ResilientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +148,7 @@ func TestResilientHandshakeDeliversSeeds(t *testing.T) {
 // engine's generated programs would be garbage against it.
 func TestResilientRejectsChangedBroker(t *testing.T) {
 	h := startBrokerTCP(t, "B")
-	r, err := DialResilient(h.addr, fastOpts())
+	r, err := DialResilient(h.addr, ResilientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,28 +184,21 @@ func TestResilientRejectsChangedBroker(t *testing.T) {
 // newJitterClient builds an unconnected Resilient with a pinned fake clock
 // and a seeded jitter source, for driving the backoff bookkeeping directly.
 func newJitterClient(seed int64, now func() time.Time) *Resilient {
-	opts := ResilientOptions{BackoffBase: 100 * time.Millisecond, BackoffMax: 2 * time.Second}
-	opts.defaults()
-	r := &Resilient{addr: "jitter-test", opts: opts}
-	r.now = now
-	r.rng = rand.New(rand.NewSource(seed))
+	r := &Resilient{addr: "jitter-test", now: now}
+	r.backoff.rng = rand.New(rand.NewSource(seed))
 	return r
 }
 
 // TestResilientBackoffFullJitter pins the full-jitter cooldown against a
 // fake clock: every delay stays inside the exponential envelope
-// [0, min(base<<streak, max)], the envelope itself is reachable and capped,
-// and the schedule is deterministic per seed.
+// [0, min(base<<streak, max)] and the schedule is deterministic per seed.
 func TestResilientBackoffFullJitter(t *testing.T) {
 	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	clock := func() time.Time { return epoch }
 
 	r := newJitterClient(7, clock)
 	for k := 0; k < 12; k++ {
-		env := r.opts.BackoffBase << k
-		if env > r.opts.BackoffMax || env <= 0 {
-			env = r.opts.BackoffMax
-		}
+		env := envelope(k)
 		r.mu.Lock()
 		r.noteFailureLocked()
 		d := r.downUntil.Sub(epoch)
@@ -246,7 +229,7 @@ func TestResilientBackoffFullJitter(t *testing.T) {
 // TestResilientBackoffDesynchronizesHerd is the thundering-herd property:
 // N clients that lose the same coordinator at the same instant, with
 // identical failure streaks, must not share a wake-up schedule. With full
-// jitter over a 100ms..2s envelope, 16 clients colliding on every one of 6
+// jitter over a 50ms..2s envelope, 16 clients colliding on every one of 6
 // rounds is astronomically unlikely; any spread proves desynchronization.
 func TestResilientBackoffDesynchronizesHerd(t *testing.T) {
 	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -272,28 +255,32 @@ func TestResilientBackoffDesynchronizesHerd(t *testing.T) {
 	t.Fatal("16 clients kept identical backoff schedules across 6 rounds")
 }
 
-// TestBackoffJitterEnvelope pins the helper itself: nil rng returns the
-// deterministic envelope, the cap holds for huge streaks (including the
-// shift overflowing), and draws never exceed the envelope.
+// TestBackoffJitterEnvelope pins the shared backoff itself: the envelope
+// starts at the base, caps for huge streaks (including the shift
+// overflowing), draws never exceed the envelope, and the streak stops
+// growing at its cap and restarts on Reset.
 func TestBackoffJitterEnvelope(t *testing.T) {
-	base, max := 50*time.Millisecond, 2*time.Second
-	if d := BackoffJitter(nil, base, max, 0); d != base {
-		t.Fatalf("nil rng streak 0: got %v, want %v", d, base)
+	if d := envelope(0); d != backoffBase {
+		t.Fatalf("streak 0: got %v, want %v", d, backoffBase)
 	}
-	if d := BackoffJitter(nil, base, max, 20); d != max {
-		t.Fatalf("nil rng streak 20: got %v, want capped %v", d, max)
+	if d := envelope(20); d != backoffMax {
+		t.Fatalf("streak 20: got %v, want capped %v", d, backoffMax)
 	}
-	if d := BackoffJitter(nil, base, max, 62); d != max {
-		t.Fatalf("nil rng overflowing shift: got %v, want capped %v", d, max)
+	if d := envelope(62); d != backoffMax {
+		t.Fatalf("overflowing shift: got %v, want capped %v", d, backoffMax)
 	}
-	rng := rand.New(rand.NewSource(3))
+	b := Backoff{rng: rand.New(rand.NewSource(3))}
 	for k := 0; k < 40; k++ {
-		env := base << (k % 8)
-		if env > max {
-			env = max
+		env := envelope(b.streak)
+		if d := b.Fail(); d < 0 || d > env {
+			t.Fatalf("streak %d: draw %v outside [0, %v]", k, d, env)
 		}
-		if d := BackoffJitter(rng, base, max, k%8); d < 0 || d > env {
-			t.Fatalf("streak %d: draw %v outside [0, %v]", k%8, d, env)
-		}
+	}
+	if b.streak != maxFailStreak {
+		t.Fatalf("streak = %d after 40 failures, want capped at %d", b.streak, maxFailStreak)
+	}
+	b.Reset()
+	if b.streak != 0 {
+		t.Fatalf("streak = %d after Reset", b.streak)
 	}
 }

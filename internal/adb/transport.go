@@ -46,8 +46,9 @@ func (e *RemoteError) Error() string { return e.Msg }
 type rpcRequest struct {
 	// Tag is the request sequence ID; the reply echoes it so a windowed
 	// client matches completions to callers without relying on reply order.
-	Tag      uint64
-	Exec     *ExecRequest
+	Tag uint64
+	// Batch is the one exec RPC: a singleton Exec is a one-program,
+	// non-summary batch.
 	Batch    *ExecBatchRequest
 	Ping     bool
 	Reboot   bool
@@ -68,7 +69,6 @@ type ImportRequest struct {
 
 type rpcReply struct {
 	Tag        uint64
-	Result     *ExecResult
 	Batch      *ExecBatchReply
 	Pong       bool
 	Restored   bool
@@ -122,7 +122,7 @@ type Conn struct {
 	dec     *gob.Decoder // owned by readLoop once started
 	timeout time.Duration
 	window  int
-	frame   int
+	frame   int // programs per batch frame; tests shrink it
 	broken  error
 	target  *dsl.Target
 	info    Info
@@ -144,17 +144,13 @@ var (
 
 // Dial wraps an established byte stream as the host end.
 func Dial(rw io.ReadWriter) *Conn {
-	return &Conn{enc: gob.NewEncoder(rw), dec: gob.NewDecoder(rw), rwc: rw}
+	return &Conn{enc: gob.NewEncoder(rw), dec: gob.NewDecoder(rw), rwc: rw, frame: batchFrame}
 }
 
-// DialTCP connects to a broker served on a TCP address.
+// DialTCP connects to a broker served on a TCP address, bounding the dial
+// by DialTimeout.
 func DialTCP(addr string) (*Conn, error) {
-	return DialTCPTimeout(addr, 0)
-}
-
-// DialTCPTimeout connects with a bounded dial; d <= 0 means no limit.
-func DialTCPTimeout(addr string, d time.Duration) (*Conn, error) {
-	c, err := net.DialTimeout("tcp", addr, d)
+	c, err := net.DialTimeout("tcp", addr, DialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("%w: dial %s: %v", ErrTransport, addr, err)
 	}
@@ -182,18 +178,8 @@ func (c *Conn) SetWindow(n int) {
 	c.mu.Unlock()
 }
 
-// SetBatchFrame bounds how many programs ExecBatch packs per wire frame
-// (default DefaultBatchFrame).
-func (c *Conn) SetBatchFrame(n int) {
-	c.mu.Lock()
-	if n > 0 {
-		c.frame = n
-	}
-	c.mu.Unlock()
-}
-
 // WireStats returns the uplink byte accounting reported by the broker for
-// this connection's batched executions (zero until the first batch reply).
+// this connection's summary-mode batches (zero until the first one).
 func (c *Conn) WireStats() WireStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -374,21 +360,25 @@ func (c *Conn) roundTrip(req rpcRequest) (rpcReply, error) {
 	return c.wait(pc)
 }
 
-// Exec implements Executor over the transport. Singleton executions always
-// carry the exact, uncompressed result — minimization and crash triage
-// depend on it; the batched path (ExecBatch) is where the wire-efficient
-// encoding lives. The decoded result is pooled on the broker side only —
-// on this side it is freshly gob-allocated, but callers should still
-// Release it so pooling works when the executor is in-process.
+// Exec implements Executor over the transport as a one-program batch
+// frame. The frame is not in summary mode, so nothing is elided and the
+// lossless delta codec hands back the exact result minimization and crash
+// triage depend on. A broker rejection of the program arrives as
+// *RemoteError. The result is pooled and owned by the caller, who must
+// Release it.
 func (c *Conn) Exec(req ExecRequest) (*ExecResult, error) {
-	rep, err := c.roundTrip(rpcRequest{Exec: &req})
+	pc, err := c.submit(rpcRequest{Batch: &ExecBatchRequest{Progs: []string{req.ProgText}}})
 	if err != nil {
 		return nil, err
 	}
-	if rep.Result == nil {
-		return nil, &RemoteError{Msg: "adb: empty reply"}
+	frame, err := c.waitFrame(pc, false)
+	if err != nil {
+		return nil, err
 	}
-	return rep.Result, nil
+	if len(frame.Results) != 1 {
+		return nil, &RemoteError{Msg: "adb: empty exec reply"}
+	}
+	return frame.Results[0].result()
 }
 
 // ExecProg implements Executor: the program crosses the wire in its
@@ -523,58 +513,27 @@ type Server struct {
 }
 
 // Serve runs the device side of the protocol over rw until the stream
-// ends. It returns nil on a clean EOF and an ErrTransport-wrapped error on
-// garbage, truncated frames, or a mid-stream hangup; it never panics —
-// protocol-handler panics are converted to per-request error replies.
-// Requests are handled serially in arrival order; windowed clients get
-// pipelining (the next request is already framed while this one executes),
-// not reordering.
+// ends; see ServeFrames for the error and panic contract. Windowed clients
+// get pipelining (the next request is already framed while this one
+// executes), not reordering. Every reply echoes its request's Tag.
 func (s *Server) Serve(rw io.ReadWriter) error {
-	enc := gob.NewEncoder(rw)
-	dec := gob.NewDecoder(rw)
 	st := &connState{}
 	if s.NewFilter != nil {
 		st.filter = s.NewFilter()
 	}
-	for {
-		req, err := decodeRequest(dec)
-		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrClosedPipe) {
-				return nil
-			}
-			return fmt.Errorf("%w: serve decode: %v", ErrTransport, err)
-		}
-		rep := s.handle(req, st)
-		rep.Tag = req.Tag
-		err = enc.Encode(&rep)
-		rep.Result.Release()
-		if err != nil {
-			return fmt.Errorf("%w: serve encode: %v", ErrTransport, err)
-		}
-	}
+	return ServeFrames(rw, "adb",
+		func(req *rpcRequest) rpcReply {
+			rep := s.handle(req, st)
+			rep.Tag = req.Tag
+			return rep
+		},
+		func(req *rpcRequest, msg string) rpcReply {
+			return rpcReply{Tag: req.Tag, Err: msg}
+		})
 }
 
-// decodeRequest reads one frame, converting decoder panics on hostile
-// input into errors (gob is supposed to error on corrupt streams, but a
-// device-facing listener must not trust that for every byte sequence).
-func decodeRequest(dec *gob.Decoder) (req rpcRequest, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("decode panic: %v", r)
-		}
-	}()
-	err = dec.Decode(&req)
-	return req, err
-}
-
-// handle dispatches one request, converting handler panics into error
-// replies so one hostile frame cannot take the broker down.
-func (s *Server) handle(req rpcRequest, st *connState) (rep rpcReply) {
-	defer func() {
-		if r := recover(); r != nil {
-			rep = rpcReply{Err: fmt.Sprintf("adb: request panic: %v", r)}
-		}
-	}()
+// handle dispatches one request.
+func (s *Server) handle(req *rpcRequest, st *connState) (rep rpcReply) {
 	switch {
 	case req.Ping:
 		rep.Pong = true
@@ -633,18 +592,6 @@ func (s *Server) handle(req rpcRequest, st *connState) (rep rpcReply) {
 		} else {
 			rep.Imported = true
 		}
-	case req.Exec != nil:
-		res, err := s.X.Exec(*req.Exec)
-		if err != nil {
-			rep.Err = err.Error()
-		} else {
-			// Keep the per-conn filter synced with every execution it
-			// serves, so later summary batches elide against the full
-			// stream this host has already seen. Singletons are never
-			// elided themselves.
-			st.observe(res)
-			rep.Result = res
-		}
 	case req.Batch != nil:
 		rep.Batch = s.execBatch(st, req.Batch)
 	default:
@@ -653,20 +600,10 @@ func (s *Server) handle(req rpcRequest, st *connState) (rep rpcReply) {
 	return rep
 }
 
-// ServeTCP listens on ln and serves each accepted connection until the
-// listener is closed. Per-connection failures (a client feeding garbage, a
-// dropped link) end that connection only; the listener keeps accepting.
+// ServeTCP serves every connection accepted on ln until the listener is
+// closed; see AcceptLoop.
 func (s *Server) ServeTCP(ln net.Listener) error {
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		go func() {
-			defer c.Close()
-			_ = s.Serve(c)
-		}()
-	}
+	return AcceptLoop(ln, s.Serve)
 }
 
 // Serve runs the device side of the protocol over rw with no seeds; see

@@ -6,18 +6,19 @@ import (
 	"droidfuzz/internal/kcov"
 )
 
-// Wire protocol v2 batched execution: N programs per request frame, N
-// results per reply, with PC traces delta-coded (kcov varint codec) and an
-// optional summary mode where the broker elides the traces of executions
-// that produced no new signal against its per-connection view of the
-// host's feedback pipeline. Crashing executions and executions with fresh
-// signal always ship in full; the host's accumulator sees the same novelty
-// verdicts it would have computed locally, at a fraction of the bytes.
+// Wire protocol v2 execution: N programs per request frame, N results per
+// reply, with PC traces delta-coded (kcov varint codec) and an optional
+// summary mode where the broker elides the traces of executions that
+// produced no new signal against its per-connection view of the host's
+// feedback pipeline. Crashing executions and executions with fresh signal
+// always ship in full; the host's accumulator sees the same novelty
+// verdicts it would have computed locally, at a fraction of the bytes. A
+// singleton Exec is a one-program frame without summary mode.
 
-// DefaultBatchFrame is how many programs ExecBatch packs per wire frame
-// when SetBatchFrame was not called. Frames pipeline through the in-flight
-// window, so a large batch becomes several frames in flight at once.
-const DefaultBatchFrame = 16
+// batchFrame is how many programs ExecBatch packs per wire frame. Frames
+// pipeline through the in-flight window, so a large batch becomes several
+// frames in flight at once.
+const batchFrame = 16
 
 // BatchExecutor is the optional batched-execution extension of Executor:
 // run several programs back to back and return one result per program (a
@@ -49,12 +50,13 @@ type ExecBatchReply struct {
 	CovWireBytes uint64
 }
 
-// WireStats is the uplink accounting for one connection's batched
-// executions: how many bytes the coverage traces would have cost in flat
+// WireStats is the uplink accounting for one connection's summary-mode
+// batches: how many bytes the coverage traces would have cost in flat
 // 4-bytes-per-PC form versus what the delta-coded, summary-filtered uplink
-// actually shipped.
+// actually shipped. Frames without summary mode (singleton Execs among
+// them) are not counted.
 type WireStats struct {
-	// Execs counts batched executions.
+	// Execs counts executions in summary-mode frames.
 	Execs uint64
 	// Elided counts executions whose traces were withheld (no new signal).
 	Elided uint64
@@ -203,31 +205,41 @@ func (w *WireResult) decode() (*ExecResult, error) {
 	return r, nil
 }
 
-// frameSize returns the per-frame program bound.
-func (c *Conn) frameSize() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.frame > 0 {
-		return c.frame
+// result rebuilds one program's host-side result as a pooled ExecResult
+// the caller must Release, reporting a broker rejection of the program as
+// *RemoteError carrying the broker's message.
+func (w *WireResult) result() (*ExecResult, error) {
+	if w.Err != "" {
+		return nil, &RemoteError{Msg: w.Err}
 	}
-	return DefaultBatchFrame
+	return w.decode()
 }
 
-// noteWire records the cumulative uplink accounting the broker reported
-// for this connection.
-func (c *Conn) noteWire(rep *ExecBatchReply) {
-	c.mu.Lock()
-	c.stats = WireStats{
-		Execs:        rep.Execs,
-		Elided:       rep.Elided,
-		CovRawBytes:  rep.CovRawBytes,
-		CovWireBytes: rep.CovWireBytes,
+// waitFrame waits for one batch frame's reply. A summary frame's reply
+// carries the connection's cumulative uplink accounting, which it records.
+func (c *Conn) waitFrame(pc *pendingCall, summary bool) (*ExecBatchReply, error) {
+	rep, err := c.wait(pc)
+	if err != nil {
+		return nil, err
 	}
-	c.mu.Unlock()
+	if rep.Batch == nil {
+		return nil, &RemoteError{Msg: "adb: empty batch reply"}
+	}
+	if summary {
+		c.mu.Lock()
+		c.stats = WireStats{
+			Execs:        rep.Batch.Execs,
+			Elided:       rep.Batch.Elided,
+			CovRawBytes:  rep.Batch.CovRawBytes,
+			CovWireBytes: rep.Batch.CovWireBytes,
+		}
+		c.mu.Unlock()
+	}
+	return rep.Batch, nil
 }
 
 // ExecBatch implements BatchExecutor over the transport: the batch is
-// split into frames of at most SetBatchFrame programs, the frames are
+// split into frames of at most batchFrame programs, the frames are
 // submitted through the in-flight window (so several are on the wire or
 // executing while earlier replies are still being decoded), and results
 // are collected in submission order. On a transport failure it returns the
@@ -241,7 +253,7 @@ func (c *Conn) ExecBatch(req ExecBatchRequest) ([]*ExecResult, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	frame := c.frameSize()
+	frame := c.frame
 	nFrames := (n + frame - 1) / frame
 	type submitted struct {
 		pc  *pendingCall
@@ -270,38 +282,30 @@ func (c *Conn) ExecBatch(req ExecBatchRequest) ([]*ExecResult, error) {
 		if s.err != nil {
 			return out, s.err
 		}
-		rep, err := c.wait(s.pc)
+		rep, err := c.waitFrame(s.pc, req.Summary)
 		if err != nil {
 			// The channel is buffered to nFrames, so the submitter never
 			// blocks; abandoning it here leaks nothing.
 			return out, err
 		}
-		if rep.Batch == nil {
-			return out, &RemoteError{Msg: "adb: empty batch reply"}
-		}
-		for i := range rep.Batch.Results {
-			w := &rep.Batch.Results[i]
-			if w.Err != "" {
-				out = append(out, nil)
-				continue
-			}
-			res, err := w.decode()
-			if err != nil {
-				out = append(out, nil) // corrupt trace: drop this program only
-				continue
-			}
+		for i := range rep.Results {
+			// A rejected program or a corrupt trace drops that program
+			// only: its entry stays nil.
+			res, _ := rep.Results[i].result()
 			out = append(out, res)
 		}
-		c.noteWire(rep.Batch)
 	}
 	return out, nil
 }
 
-// execBatch is the server side of ExecBatch: run every program in the
-// frame in order (no early stop — a crash reboots the device and the rest
-// of the frame runs on the fresh boot, which is the documented determinism
-// caveat of batched mode), feed each result to the connection's filter,
-// and encode, eliding traces the summary mode proved uninteresting.
+// execBatch is the server side of Exec and ExecBatch: run every program in
+// the frame in order (no early stop — a crash reboots the device and the
+// rest of the frame runs on the fresh boot, which is the documented
+// determinism caveat of batched mode), feed each result to the
+// connection's filter, and encode, eliding traces the summary mode proved
+// uninteresting. The filter observes every frame, so summary batches elide
+// against the full stream this host has already seen; only summary frames
+// count toward WireStats.
 func (s *Server) execBatch(st *connState, req *ExecBatchRequest) *ExecBatchReply {
 	rep := &ExecBatchReply{Results: make([]WireResult, len(req.Progs))}
 	for i, text := range req.Progs {
@@ -315,13 +319,16 @@ func (s *Server) execBatch(st *connState, req *ExecBatchRequest) *ExecBatchReply
 			!res.Crashed() && !res.NeedsReboot()
 		raw, wire := rep.Results[i].encode(res, elide)
 		sanitizeWireResult(&rep.Results[i], res)
+		res.Release()
+		if !req.Summary {
+			continue
+		}
 		st.stats.Execs++
 		st.stats.CovRawBytes += raw
 		st.stats.CovWireBytes += wire
 		if elide {
 			st.stats.Elided++
 		}
-		res.Release()
 	}
 	rep.Execs = st.stats.Execs
 	rep.Elided = st.stats.Elided
@@ -330,10 +337,9 @@ func (s *Server) execBatch(st *connState, req *ExecBatchRequest) *ExecBatchReply
 	return rep
 }
 
-// execOne runs one batched program with the same panic guard the
-// per-request handler has: one hostile program must not take down the
-// whole frame. The pooled result is owned by the caller, who Releases it
-// after encoding the reply frame.
+// execOne runs one program with a panic guard: one hostile program must
+// not take down the whole frame. The pooled result is owned by the caller,
+// who Releases it after encoding the reply frame.
 func (s *Server) execOne(text string) (res *ExecResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {

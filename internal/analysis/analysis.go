@@ -281,7 +281,7 @@ func DefaultConfig() Config {
 		GoShutdownChans: []string{
 			// quit: the transport writeLoop's poison channel (Conn.fail
 			// closes it). stopApply: the daemon's learn-applier stop signal,
-			// closed at the end of RunParallel. Done: context.Context.Done()
+			// closed at the end of RunOn. Done: context.Context.Done()
 			// for any future ctx-threaded worker.
 			"quit",
 			"stopApply",

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -17,44 +16,18 @@ import (
 // ClientOptions tune the reconnecting coordinator client. The retry
 // discipline mirrors adb.Resilient: typed errors split transport failures
 // (redial and retry) from coordinator rejections (*adb.RemoteError, stream
-// healthy, surface to the caller), and redials back off on the shared
-// full-jitter envelope.
+// healthy, surface to the caller), redials pace themselves with the shared
+// adb.Backoff, and the dial and call timeouts are the adb link constants.
 type ClientOptions struct {
-	// DialTimeout bounds one connection attempt (default 2s).
-	DialTimeout time.Duration
-	// CallTimeout bounds one RPC round trip (default 10s).
-	CallTimeout time.Duration
-	// MaxAttempts is how many reconnect-and-retry cycles one call performs
-	// before giving up (default 3 — coordinator calls are rare and losing
-	// one strands shard state, so the client tries harder than a per-exec
-	// device link would).
-	MaxAttempts int
-	// BackoffBase/BackoffMax bound the full-jitter redial envelope
-	// (defaults 50ms and 2s).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// Dialer overrides how a stream is opened; nil dials TCP to Addr.
-	// Tests hand in net.Pipe factories.
+	// In-process fleets hand in net.Pipe factories.
 	Dialer func() (io.ReadWriteCloser, error)
 }
 
-func (o *ClientOptions) defaults() {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 2 * time.Second
-	}
-	if o.CallTimeout <= 0 {
-		o.CallTimeout = 10 * time.Second
-	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 3
-	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = 50 * time.Millisecond
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = 2 * time.Second
-	}
-}
+// clientAttempts is how many reconnect-and-retry cycles one call performs
+// before giving up: coordinator calls are rare and losing one strands
+// shard state, so the client tries harder than a per-exec device link.
+const clientAttempts = 3
 
 // Client is a host's reconnecting connection to the coordinator. Calls are
 // lock-step — one in flight at a time, serialized by the mutex — which is
@@ -63,14 +36,12 @@ type Client struct {
 	addr string
 	opts ClientOptions
 
-	mu         sync.Mutex
-	stream     io.ReadWriteCloser
-	enc        *gob.Encoder
-	dec        *gob.Decoder
-	downUntil  time.Time
-	failStreak int
-	rng        *rand.Rand
-	sleep      func(time.Duration) // test seam; nil means time.Sleep
+	mu      sync.Mutex
+	stream  io.ReadWriteCloser
+	enc     *gob.Encoder
+	dec     *gob.Decoder
+	backoff adb.Backoff
+	sleep   func(time.Duration) // time.Sleep; tests drop the pause
 	// seq numbers every logical call; retries of one call resend the same
 	// value, which is how the coordinator tells a retry after a lost reply
 	// from a fresh request (and answers it from its reply cache).
@@ -82,8 +53,7 @@ type Client struct {
 
 // DialClient connects to a coordinator at addr (or via opts.Dialer).
 func DialClient(addr string, opts ClientOptions) (*Client, error) {
-	opts.defaults()
-	c := &Client{addr: addr, opts: opts}
+	c := &Client{addr: addr, opts: opts, sleep: time.Sleep}
 	if err := c.connectLocked(); err != nil {
 		return nil, err
 	}
@@ -100,7 +70,7 @@ func (c *Client) connectLocked() error {
 	if c.opts.Dialer != nil {
 		rwc, err = c.opts.Dialer()
 	} else {
-		rwc, err = net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
+		rwc, err = net.DialTimeout("tcp", c.addr, adb.DialTimeout)
 	}
 	if err != nil {
 		return fmt.Errorf("%w: coord dial %s: %v", adb.ErrTransport, c.addr, err)
@@ -127,18 +97,9 @@ func (c *Client) dropLocked() {
 	}
 }
 
-// jitterLocked lazily seeds the redial jitter source from the wall clock so
-// every host draws an independent reconnect schedule.
-func (c *Client) jitterLocked() *rand.Rand {
-	if c.rng == nil {
-		c.rng = rand.New(rand.NewSource(time.Now().UnixNano())) //droidvet:nondet per-client jitter seed
-	}
-	return c.rng
-}
-
 // call performs one lock-step round trip with reconnect-and-retry. A
 // coordinator-side rejection comes back as *adb.RemoteError without a
-// retry; stream failures redial after a full-jitter backoff sleep (the
+// retry; stream failures redial after sleeping the backoff delay (the
 // client has nothing better to do — unlike Resilient's non-blocking
 // cooldown, a host cannot make progress without its coordinator).
 func (c *Client) call(req adb.CoordRequest) (adb.CoordReply, error) {
@@ -150,13 +111,9 @@ func (c *Client) call(req adb.CoordRequest) (adb.CoordReply, error) {
 	c.seq++
 	req.Seq = c.seq
 	var err error
-	for attempt := 0; attempt <= c.opts.MaxAttempts; attempt++ {
+	for attempt := 0; attempt <= clientAttempts; attempt++ {
 		if attempt > 0 {
-			d := adb.BackoffJitter(c.jitterLocked(), c.opts.BackoffBase, c.opts.BackoffMax, c.failStreak)
-			if c.failStreak < 30 {
-				c.failStreak++
-			}
-			c.sleepLocked(d)
+			c.sleep(c.backoff.Fail())
 		}
 		if c.stream == nil {
 			if err = c.connectLocked(); err != nil {
@@ -171,15 +128,15 @@ func (c *Client) call(req adb.CoordRequest) (adb.CoordReply, error) {
 			}
 			return adb.CoordReply{}, err // coordinator rejection; stream healthy
 		}
-		c.failStreak = 0
+		c.backoff.Reset()
 		return rep, nil
 	}
 	return adb.CoordReply{}, err
 }
 
 // nonceCounter disambiguates nonces of clients in one process: even if two
-// clients' wall-clock-seeded RNGs collided, the counter xor keeps their
-// registration identities distinct.
+// clients' wall-clock-seeded jitter sources collided, the counter xor keeps
+// their registration identities distinct.
 var nonceCounter atomic.Uint64
 
 // regNonce lazily draws this client's registration nonce (never 0, so the
@@ -188,28 +145,16 @@ func (c *Client) regNonce() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for c.nonce == 0 {
-		c.nonce = c.jitterLocked().Uint64() ^ nonceCounter.Add(1)
+		c.nonce = c.backoff.Rand().Uint64() ^ nonceCounter.Add(1)
 	}
 	return c.nonce
-}
-
-// sleepLocked pauses between redials (droppable in tests).
-func (c *Client) sleepLocked(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	if c.sleep != nil {
-		c.sleep(d)
-		return
-	}
-	time.Sleep(d)
 }
 
 // roundTripLocked encodes one request and decodes its reply, bounding the
 // exchange with the call timeout when the stream supports deadlines.
 func (c *Client) roundTripLocked(req adb.CoordRequest) (adb.CoordReply, error) {
-	if nc, ok := c.stream.(net.Conn); ok && c.opts.CallTimeout > 0 {
-		nc.SetDeadline(time.Now().Add(c.opts.CallTimeout)) //droidvet:nondet wall-clock io deadline
+	if nc, ok := c.stream.(net.Conn); ok {
+		nc.SetDeadline(time.Now().Add(adb.CallTimeout)) //droidvet:nondet wall-clock io deadline
 		defer nc.SetDeadline(time.Time{})
 	}
 	if err := c.enc.Encode(&req); err != nil {

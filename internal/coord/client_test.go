@@ -18,7 +18,6 @@ func TestClientReconnectsThroughTransportFailures(t *testing.T) {
 	srv := &Server{C: coord}
 	fails := 2
 	cl := &Client{addr: "flaky", opts: ClientOptions{
-		MaxAttempts: 5, BackoffBase: 10 * time.Millisecond, BackoffMax: 100 * time.Millisecond,
 		Dialer: func() (io.ReadWriteCloser, error) {
 			if fails > 0 {
 				fails--
@@ -29,7 +28,6 @@ func TestClientReconnectsThroughTransportFailures(t *testing.T) {
 			return hostEnd, nil
 		},
 	}}
-	cl.opts.defaults()
 	var slept []time.Duration
 	cl.sleep = func(d time.Duration) { slept = append(slept, d) }
 
@@ -92,12 +90,12 @@ func TestClientSurfacesRemoteErrorWithoutRetry(t *testing.T) {
 func TestServerRejectsGarbage(t *testing.T) {
 	coord, _ := newTestCoordinator(t, Campaign{Models: []string{"A1"}, Shards: 1, Iters: 1}, Options{})
 	srv := &Server{C: coord}
-	rep := srv.handle(adb.CoordRequest{})
+	rep := srv.handle(&adb.CoordRequest{})
 	if rep.Err == "" {
 		t.Fatal("empty request accepted")
 	}
 	// A second request on the same coordinator still works.
-	rep = srv.handle(adb.CoordRequest{Register: &adb.CoordRegister{Name: "ok"}})
+	rep = srv.handle(&adb.CoordRequest{Register: &adb.CoordRegister{Name: "ok"}})
 	if rep.Err != "" || rep.Registered == nil {
 		t.Fatalf("register after garbage: %+v", rep)
 	}

@@ -164,11 +164,7 @@ func TestLostReplyRetriedOverWire(t *testing.T) {
 		}
 		return hostEnd, nil
 	}
-	cl := &Client{addr: "lossy", opts: ClientOptions{
-		MaxAttempts: 3, BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond,
-		Dialer: dialer,
-	}}
-	cl.opts.defaults()
+	cl := &Client{addr: "lossy", opts: ClientOptions{Dialer: dialer}}
 	cl.sleep = func(time.Duration) {}
 
 	reg, err := cl.Register("flaky")

@@ -1,20 +1,17 @@
 package coord
 
 import (
-	"encoding/gob"
-	"errors"
-	"fmt"
 	"io"
 	"net"
 
 	"droidfuzz/internal/adb"
 )
 
-// The coordinator wire layer mirrors the adb transport's device protocol:
-// gob frames over any byte stream, lock-step request/reply. Coordinator
-// RPCs happen per epoch (hundreds of milliseconds to seconds apart), not
-// per execution, so there is no windowed pipeline here — one in-flight
-// request per connection keeps both ends trivially in sync.
+// The coordinator serves its protocol on the adb link layer: the same
+// gob serve loop and accept loop as the broker protocol, lock-step
+// request/reply. Coordinator RPCs happen per epoch (hundreds of
+// milliseconds to seconds apart), not per execution, so clients keep one
+// request in flight per connection.
 
 // Server serves a Coordinator over gob streams.
 type Server struct {
@@ -22,63 +19,23 @@ type Server struct {
 }
 
 // Serve runs the coordinator side of the protocol over rw until the stream
-// ends: nil on clean EOF, an adb.ErrTransport-wrapped error on garbage or a
-// mid-stream hangup. Handler panics become per-request error replies, so
-// one hostile frame cannot take the coordinator down.
+// ends; see adb.ServeFrames for the error and panic contract. Requests go
+// through Coordinator.Handle — the layer that dedups retried requests —
+// whose Go errors travel as the reply's Err string (the client rehydrates
+// them as *adb.RemoteError).
 func (s *Server) Serve(rw io.ReadWriter) error {
-	enc := gob.NewEncoder(rw)
-	dec := gob.NewDecoder(rw)
-	for {
-		req, err := decodeCoordRequest(dec)
-		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrClosedPipe) {
-				return nil
-			}
-			return fmt.Errorf("%w: coord serve decode: %v", adb.ErrTransport, err)
-		}
-		rep := s.handle(req)
-		if err := enc.Encode(&rep); err != nil {
-			return fmt.Errorf("%w: coord serve encode: %v", adb.ErrTransport, err)
-		}
-	}
+	return adb.ServeFrames(rw, "coord", s.handle,
+		func(_ *adb.CoordRequest, msg string) adb.CoordReply {
+			return adb.CoordReply{Err: msg}
+		})
 }
 
-// decodeCoordRequest reads one frame, converting decoder panics on hostile
-// input into errors.
-func decodeCoordRequest(dec *gob.Decoder) (req adb.CoordRequest, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("decode panic: %v", r)
-		}
-	}()
-	err = dec.Decode(&req)
-	return req, err
+func (s *Server) handle(req *adb.CoordRequest) adb.CoordReply {
+	return s.C.Handle(*req)
 }
 
-// handle dispatches one request through Coordinator.Handle — the layer
-// that dedups retried requests — mapping Go errors to the reply's Err
-// string (the client rehydrates them as *adb.RemoteError) and converting
-// handler panics into error replies.
-func (s *Server) handle(req adb.CoordRequest) (rep adb.CoordReply) {
-	defer func() {
-		if r := recover(); r != nil {
-			rep = adb.CoordReply{Err: fmt.Sprintf("coord: request panic: %v", r)}
-		}
-	}()
-	return s.C.Handle(req)
-}
-
-// ServeTCP listens on ln and serves each accepted host connection until
-// the listener closes. Per-connection failures end that connection only.
+// ServeTCP serves every host connection accepted on ln until the listener
+// closes; see adb.AcceptLoop.
 func (s *Server) ServeTCP(ln net.Listener) error {
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		go func() {
-			defer c.Close()
-			_ = s.Serve(c)
-		}()
-	}
+	return adb.AcceptLoop(ln, s.Serve)
 }

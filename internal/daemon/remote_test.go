@@ -3,7 +3,6 @@ package daemon
 import (
 	"net"
 	"testing"
-	"time"
 
 	"droidfuzz/internal/adb"
 	"droidfuzz/internal/device"
@@ -34,15 +33,9 @@ func serveBrokerTCP(t *testing.T, modelID string) (string, net.Listener) {
 	return ln.Addr().String(), ln
 }
 
-func fastResilient(t *testing.T, addr string) *adb.Resilient {
+func dialResilient(t *testing.T, addr string) *adb.Resilient {
 	t.Helper()
-	r, err := adb.DialResilient(addr, adb.ResilientOptions{
-		DialTimeout: time.Second,
-		CallTimeout: 2 * time.Second,
-		MaxAttempts: 1,
-		BackoffBase: 5 * time.Millisecond,
-		BackoffMax:  50 * time.Millisecond,
-	})
+	r, err := adb.DialResilient(addr, adb.ResilientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +51,8 @@ func TestFleetSurvivesDeadRemoteBroker(t *testing.T) {
 	addrB, lnB := serveBrokerTCP(t, "B")
 
 	d := New()
-	rA := fastResilient(t, addrA)
-	rB := fastResilient(t, addrB)
+	rA := dialResilient(t, addrA)
+	rB := dialResilient(t, addrB)
 	if err := d.AttachExecutor("A1", rA, nil, engine.Config{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +108,11 @@ func TestAttachExecutorRejectsUnboundAndDuplicate(t *testing.T) {
 	if err := d.AttachExecutor("X", conn, nil, engine.Config{Seed: 1}); err == nil {
 		t.Fatal("unbound executor attached")
 	}
-	r := fastResilient(t, addr)
+	r := dialResilient(t, addr)
 	if err := d.AttachExecutor("A1", r, nil, engine.Config{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	r2 := fastResilient(t, addr)
+	r2 := dialResilient(t, addr)
 	if err := d.AttachExecutor("A1", r2, nil, engine.Config{Seed: 2}); err == nil {
 		t.Fatal("duplicate id attached")
 	}
@@ -150,13 +143,7 @@ func TestBatchedRemoteCampaignSavesUplinkBytes(t *testing.T) {
 	srv.NewFilter = func() adb.UplinkFilter { return feedback.NewUplinkFilter(target) }
 	go srv.ServeTCP(ln)
 
-	r, err := adb.DialResilient(ln.Addr().String(), adb.ResilientOptions{
-		DialTimeout: time.Second,
-		CallTimeout: 5 * time.Second,
-		MaxAttempts: 1,
-		Window:      4,
-		BatchFrame:  8,
-	})
+	r, err := adb.DialResilient(ln.Addr().String(), adb.ResilientOptions{Window: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

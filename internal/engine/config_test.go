@@ -7,67 +7,27 @@ import "testing"
 func TestConfigDefaultsZeroValues(t *testing.T) {
 	var c Config
 	c.defaults()
-	if c.GenerateRatio != 0.4 {
-		t.Errorf("GenerateRatio = %v, want 0.4", c.GenerateRatio)
-	}
-	if c.DirAdmitProb != 0.25 {
-		t.Errorf("DirAdmitProb = %v, want 0.25", c.DirAdmitProb)
-	}
 	if c.DecayFactor != 0.9 {
 		t.Errorf("DecayFactor = %v, want 0.9", c.DecayFactor)
 	}
-	if c.DecayEvery != 400 || c.SnapshotEvery != 25 || c.MaxMinimizeExecs != 12 {
+	if c.DecayEvery != 400 {
 		t.Errorf("schedule defaults wrong: %+v", c)
 	}
 }
 
-// TestConfigDisabledSentinels: Disabled pins ratio/probability/factor
-// fields to zero instead of silently snapping back to the default — the
-// zero-value clamping bug this sentinel exists to fix.
-func TestConfigDisabledSentinels(t *testing.T) {
-	c := Config{
-		GenerateRatio: Disabled,
-		DirAdmitProb:  Disabled,
-		DecayFactor:   Disabled,
-	}
-	c.defaults()
-	if c.GenerateRatio != 0 {
-		t.Errorf("GenerateRatio = %v, want 0 (disabled)", c.GenerateRatio)
-	}
-	if c.DirAdmitProb != 0 {
-		t.Errorf("DirAdmitProb = %v, want 0 (disabled)", c.DirAdmitProb)
-	}
-	if c.DecayFactor != 0 {
-		t.Errorf("DecayFactor = %v, want 0 (disabled)", c.DecayFactor)
-	}
-}
-
-// TestConfigNoDecayFlag: DecayEvery's zero value means "default 400", so
-// disabling the decay schedule needs the explicit flag.
-func TestConfigNoDecayFlag(t *testing.T) {
-	c := Config{NoDecay: true, DecayEvery: 1000}
-	c.defaults()
-	if c.DecayEvery != 0 {
-		t.Errorf("DecayEvery = %d, want 0 with NoDecay", c.DecayEvery)
-	}
-	c = Config{DecayEvery: 1000}
-	c.defaults()
-	if c.DecayEvery != 1000 {
-		t.Errorf("DecayEvery = %d, want 1000", c.DecayEvery)
-	}
-}
-
 // TestConfigEdgeValuesSurvive: explicit in-range values are preserved, and
-// out-of-range probabilities clamp instead of resetting.
+// out-of-range decay factors fall back to the default.
 func TestConfigEdgeValuesSurvive(t *testing.T) {
-	c := Config{GenerateRatio: 0.01, DirAdmitProb: 1, DecayFactor: 0.5}
+	c := Config{DecayFactor: 0.5, DecayEvery: 1000}
 	c.defaults()
-	if c.GenerateRatio != 0.01 || c.DirAdmitProb != 1 || c.DecayFactor != 0.5 {
+	if c.DecayFactor != 0.5 || c.DecayEvery != 1000 {
 		t.Errorf("explicit values clobbered: %+v", c)
 	}
-	c = Config{GenerateRatio: 7}
-	c.defaults()
-	if c.GenerateRatio != 1 {
-		t.Errorf("GenerateRatio = %v, want clamp to 1", c.GenerateRatio)
+	for _, f := range []float64{-1, 1, 7} {
+		c = Config{DecayFactor: f}
+		c.defaults()
+		if c.DecayFactor != 0.9 {
+			t.Errorf("DecayFactor %v resolved to %v, want the 0.9 default", f, c.DecayFactor)
+		}
 	}
 }

@@ -193,29 +193,6 @@ func TestEngineCountsExecErrors(t *testing.T) {
 	}
 }
 
-// TestEngineDisabledGenerateRatio: with GenerateRatio pinned to zero via
-// the sentinel, the engine only generates while the corpus is empty and
-// mutates ever after.
-func TestEngineDisabledGenerateRatio(t *testing.T) {
-	e := newEngine(t, "A1", engine.Config{Seed: 14, GenerateRatio: engine.Disabled})
-	target := e.Gen().Target()
-	prog, err := dsl.ParseProg(target, `r0 = open$tcpc(path="/dev/tcpc0")
-ioctl$TCPC_SET_MODE(fd=r0, req=0xa102, mode=0x3)
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.SeedCorpus([]*dsl.Prog{prog})
-	e.Run(100)
-	st := e.Stats()
-	if st.Generated != 0 {
-		t.Fatalf("generated = %d with GenerateRatio disabled and a seeded corpus", st.Generated)
-	}
-	if st.Mutated != 100 {
-		t.Fatalf("mutated = %d, want 100", st.Mutated)
-	}
-}
-
 // TestEngineBatchedRun: the batched pipelined mode ships programs to the
 // executor's batch extension (the in-process broker here) and must complete
 // the full budget with the same bookkeeping guarantees as per-program
